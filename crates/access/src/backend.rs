@@ -179,43 +179,29 @@ impl<B: AccessBackend + ?Sized> AccessBackend for Box<B> {
     }
 }
 
-/// The data behind an [`InstanceBackend`]: borrowed (the pre-refactor
-/// `execute` path) or owned (shards, services built per run).
-#[derive(Debug)]
-enum InstanceRef<'a> {
-    Borrowed(&'a Instance),
-    Owned(Box<Instance>),
-}
-
-impl InstanceRef<'_> {
-    fn get(&self) -> &Instance {
-        match self {
-            InstanceRef::Borrowed(i) => i,
-            InstanceRef::Owned(i) => i,
-        }
-    }
-}
-
 /// The in-memory backend: an [`Instance`] plus an [`AccessSelection`]
 /// choosing which valid output each (result-bounded) access returns.
 ///
 /// This is the `(&Instance, &mut dyn AccessSelection)` pair of the
 /// pre-refactor executor, packaged as a backend; the free function
 /// [`crate::plan::execute`] still takes that pair and wraps it here.
+///
+/// A backend built by [`ShardedBackend::over_instance`] is a *shard view*:
+/// it borrows the whole instance but serves only the rows whose tuple hash
+/// lands in its shard, exactly the rows [`partition_instance`] would have
+/// copied into that shard, in the same order.
 pub struct InstanceBackend<'a> {
-    instance: InstanceRef<'a>,
+    instance: &'a Instance,
     selection: Box<dyn AccessSelection + 'a>,
     row_ids: Vec<u32>,
+    /// `(index, count)` of a shard view; `None` serves every row.
+    shard: Option<(u64, u64)>,
 }
 
 impl<'a> InstanceBackend<'a> {
     /// A backend over a borrowed instance and selection.
     pub fn new(instance: &'a Instance, selection: &'a mut dyn AccessSelection) -> Self {
-        InstanceBackend {
-            instance: InstanceRef::Borrowed(instance),
-            selection: Box::new(selection),
-            row_ids: Vec::new(),
-        }
+        Self::with_selection(instance, Box::new(selection))
     }
 
     /// A backend over a borrowed instance with an owned (boxed) selection.
@@ -224,9 +210,10 @@ impl<'a> InstanceBackend<'a> {
         selection: Box<dyn AccessSelection + 'a>,
     ) -> Self {
         InstanceBackend {
-            instance: InstanceRef::Borrowed(instance),
+            instance,
             selection,
             row_ids: Vec::new(),
+            shard: None,
         }
     }
 
@@ -236,28 +223,18 @@ impl<'a> InstanceBackend<'a> {
         Self::with_selection(instance, Box::new(TruncatingSelection::new()))
     }
 
-    /// A backend owning its instance (used for shard children).
-    pub fn owning(
-        instance: Instance,
-        selection: Box<dyn AccessSelection + 'static>,
-    ) -> InstanceBackend<'static> {
-        InstanceBackend {
-            instance: InstanceRef::Owned(Box::new(instance)),
-            selection,
-            row_ids: Vec::new(),
-        }
-    }
-
-    /// The instance served by this backend.
+    /// The instance this backend reads (a shard view reads only its share
+    /// of it).
     pub fn instance(&self) -> &Instance {
-        self.instance.get()
+        self.instance
     }
 }
 
 impl std::fmt::Debug for InstanceBackend<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstanceBackend")
-            .field("facts", &self.instance.get().len())
+            .field("facts", &self.instance.len())
+            .field("shard", &self.shard)
             .finish_non_exhaustive()
     }
 }
@@ -268,13 +245,18 @@ impl AccessBackend for InstanceBackend<'_> {
         method: &AccessMethod,
         binding: &[(usize, Value)],
     ) -> Result<AccessResponse, AccessError> {
-        let instance = self.instance.get();
+        let instance = self.instance;
+        let relation = method.relation();
         self.row_ids.clear();
-        instance.matching_rows_into(method.relation(), binding, &mut self.row_ids);
+        instance.matching_rows_into(relation, binding, &mut self.row_ids);
+        if let Some((index, count)) = self.shard {
+            self.row_ids
+                .retain(|&id| tuple_hash(instance.row(relation, id)) % count == index);
+        }
         let matching: Vec<Vec<Value>> = self
             .row_ids
             .iter()
-            .map(|&id| instance.row(method.relation(), id).to_vec())
+            .map(|&id| instance.row(relation, id).to_vec())
             .collect();
         let matched = matching.len();
         let selected = self.selection.select(method, binding, &matching);
@@ -576,16 +558,26 @@ impl<B: AccessBackend> ShardedBackend<B> {
     pub fn children(&self) -> &[B] {
         &self.children
     }
+
+    /// Consumes the federation, returning its child backends.
+    pub fn into_children(self) -> Vec<B> {
+        self.children
+    }
 }
 
-impl ShardedBackend<InstanceBackend<'static>> {
-    /// Partitions `instance` into `shards` deterministic hash shards, each
-    /// served by an owned [`InstanceBackend`] with a fresh deterministic
-    /// [`TruncatingSelection`].
-    pub fn over_instance(instance: &Instance, shards: usize) -> Self {
-        let children = partition_instance(instance, shards)
-            .into_iter()
-            .map(|shard| InstanceBackend::owning(shard, Box::new(TruncatingSelection::new())))
+impl<'a> ShardedBackend<InstanceBackend<'a>> {
+    /// Splits `instance` into `shards` deterministic hash shards, each
+    /// served by a shard view with a fresh deterministic
+    /// [`TruncatingSelection`]. The views borrow `instance`; nothing is
+    /// copied, so building the backend costs O(`shards`), not
+    /// O(|instance|).
+    pub fn over_instance(instance: &'a Instance, shards: usize) -> Self {
+        assert!(shards >= 1, "need at least one shard");
+        let children = (0..shards)
+            .map(|index| InstanceBackend {
+                shard: Some((index as u64, shards as u64)),
+                ..InstanceBackend::truncating(instance)
+            })
             .collect();
         ShardedBackend::new(children)
     }
@@ -626,6 +618,11 @@ impl<B: AccessBackend> AccessBackend for ShardedBackend<B> {
 /// Partitions the rows of `instance` into `shards` instances by a
 /// deterministic FNV hash of each tuple's values. The partition is
 /// disjoint and covers every row; `shards` must be at least 1.
+///
+/// This is the reference partition used by tests: child `i` of
+/// [`ShardedBackend::over_instance`] must serve exactly what an
+/// [`InstanceBackend`] over part `i` serves. Production code never copies
+/// the instance.
 pub fn partition_instance(instance: &Instance, shards: usize) -> Vec<Instance> {
     assert!(shards >= 1, "need at least one shard");
     let sig = instance.signature().clone();

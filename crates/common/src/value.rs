@@ -95,7 +95,8 @@ impl fmt::Display for Value {
 ///
 /// A single factory is shared by a whole reasoning task (query, constraints,
 /// instances, chase) so that constant identity is global and nulls are never
-/// reused.
+/// reused. After [`ValueFactory::freeze`], clones share the frozen
+/// constants and copy only what they intern themselves.
 #[derive(Debug, Default, Clone)]
 pub struct ValueFactory {
     interner: crate::Interner,
@@ -138,6 +139,12 @@ impl ValueFactory {
             Value::Const(c) => self.interner.resolve(c).to_owned(),
             Value::Null(n) => format!("_n{}", n.raw()),
         }
+    }
+
+    /// Freezes the constants interned so far into the interner's shared
+    /// base ([`crate::Interner::freeze`]); no id changes.
+    pub fn freeze(&mut self) {
+        self.interner.freeze();
     }
 
     /// Access to the underlying interner.

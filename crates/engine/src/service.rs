@@ -330,11 +330,11 @@ impl ServiceSimulator {
     /// Builds the backend named by `spec` over the hidden instance, with
     /// deterministic truncating selections throughout.
     ///
-    /// `Sharded` pays an O(|instance|) partition per call — one full
-    /// hash-partition copy of the hidden data per execution window.
-    /// Acceptable at simulator scale; caching the shard instances per
-    /// (dataset, shard count) is the obvious optimisation once datasets
-    /// grow.
+    /// Every backend borrows the hidden instance, so building one costs
+    /// nothing that grows with the data. `Sharded` children are shard
+    /// views over that one instance: each access filters the matched rows
+    /// down to the child's hash shard instead of copying a partition of
+    /// the data per execution window.
     fn build_backend(
         &self,
         spec: BackendSpec,

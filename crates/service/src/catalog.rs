@@ -40,8 +40,10 @@ pub struct CatalogEntry {
     pub name: String,
     /// The schema (signature, constraints, access methods).
     pub schema: Schema,
-    /// Factory that interned the schema's constants; clients derive their
-    /// query factories from clones of this.
+    /// Factory that interned the schema's (and dataset's) constants,
+    /// frozen at registration: clones share its constants, so clients
+    /// derive their query factories from clones of this at a cost that
+    /// does not grow with the catalog.
     pub values: ValueFactory,
     /// Fingerprint of the schema, mixed into every request fingerprint.
     pub fingerprint: Fingerprint,
@@ -50,13 +52,11 @@ pub struct CatalogEntry {
 }
 
 impl CatalogEntry {
-    /// Creates an entry, computing the schema fingerprint.
-    pub fn new(name: &str, schema: Schema, values: ValueFactory) -> Self {
-        let resolver = {
-            let values = values.clone();
-            move |v: Value| values.display(v)
-        };
-        let fingerprint = schema_fingerprint(&schema, &resolver);
+    /// Creates an entry, freezing the factory's constants and computing
+    /// the schema fingerprint.
+    pub fn new(name: &str, schema: Schema, mut values: ValueFactory) -> Self {
+        values.freeze();
+        let fingerprint = schema_fingerprint(&schema, &|v: Value| values.display(v));
         CatalogEntry {
             name: name.to_owned(),
             schema,

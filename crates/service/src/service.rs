@@ -90,10 +90,7 @@ fn dedup_disjuncts(
     if union.len() <= 1 {
         return union;
     }
-    let resolve = {
-        let values = values.clone();
-        move |v| values.display(v)
-    };
+    let resolve = |v| values.display(v);
     let mut seen = std::collections::HashSet::new();
     UnionOfConjunctiveQueries::from_disjuncts(
         union
@@ -271,8 +268,14 @@ impl QueryService {
             .map(|(id, _)| id)
     }
 
-    /// A clone of the catalog's value factory. Build request queries on
-    /// top of this so constants shared with the catalog keep their ids.
+    /// A request factory over the catalog's value space. Build request
+    /// queries on top of this so constants shared with the catalog keep
+    /// their ids.
+    ///
+    /// The catalog's constants were frozen at registration, so the
+    /// returned factory shares them rather than copying them: the call
+    /// costs the same for a ten-fact catalog and a million-fact one, and
+    /// constants interned into the result stay private to it.
     pub fn catalog_values(&self, id: CatalogId) -> Result<ValueFactory, ServiceError> {
         Ok(self.entry(id)?.values.clone())
     }
@@ -380,15 +383,11 @@ impl QueryService {
         request: &AnswerRequest,
         options: &rbqa_core::AnswerabilityOptions,
     ) -> Fingerprint {
-        let resolve = {
-            let values = request.values.clone();
-            move |v| values.display(v)
-        };
         request_fingerprint(
             entry.fingerprint,
             &request.query,
             entry.schema.signature(),
-            &resolve,
+            &|v| request.values.display(v),
             options,
             &request.effective_exec(),
         )
@@ -683,7 +682,7 @@ impl QueryService {
 mod tests {
     use super::*;
     use rbqa_access::AccessMethod;
-    use rbqa_common::Signature;
+    use rbqa_common::{Signature, Value};
     use rbqa_logic::constraints::tgd::inclusion_dependency;
     use rbqa_logic::constraints::ConstraintSet;
     use rbqa_logic::parser::parse_cq;
@@ -877,6 +876,34 @@ mod tests {
             service.submit(&request),
             Err(ServiceError::UnknownCatalog(_))
         ));
+    }
+
+    #[test]
+    fn catalog_values_share_the_frozen_catalog_constants() {
+        // Request factories are overlays on the catalog's frozen base: two
+        // of them resolve a catalog constant to the very same string, and
+        // a constant interned into one stays invisible to the other.
+        let service = QueryService::new();
+        let (schema, mut values) = university(None);
+        let alice = values.constant("alice");
+        let id = service.register_catalog("uni", schema, values).unwrap();
+        let mut first = service.catalog_values(id).unwrap();
+        let second = service.catalog_values(id).unwrap();
+        let (Value::Const(a1), Value::Const(a2)) = (
+            first.lookup_constant("alice").unwrap(),
+            second.lookup_constant("alice").unwrap(),
+        ) else {
+            panic!("catalog constants resolve to constants");
+        };
+        assert_eq!(Value::Const(a1), alice);
+        assert!(std::ptr::eq(
+            first.interner().resolve(a1),
+            second.interner().resolve(a2)
+        ));
+        let bob = first.constant("bob");
+        assert!(second.lookup_constant("bob").is_none());
+        assert_eq!(service.catalog_values(id).unwrap().interner().len(), 1);
+        assert_eq!(first.display(bob), "bob");
     }
 
     #[test]

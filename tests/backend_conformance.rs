@@ -14,6 +14,10 @@
 //! [`InstanceBackend`] rows on schemas whose methods are unbounded (where
 //! every valid selection returns the full match set, so the backends must
 //! agree tuple for tuple).
+//!
+//! Part 3 checks the shard views behind [`ShardedBackend::over_instance`]
+//! against the reference partition: child `i` must serve exactly what an
+//! [`InstanceBackend`] over part `i` of [`partition_instance`] serves.
 
 use proptest::prelude::*;
 use rbqa::access::backend::partition_instance;
@@ -430,4 +434,77 @@ fn budget_exhaustion_is_deterministic_across_executors() {
             calls: 3
         })
     );
+}
+
+// ---------------------------------------------------------------------------
+// Part 3: shard views against the reference partition
+// ---------------------------------------------------------------------------
+
+/// Every way to bind the inputs of `inputs` to values of `domain`.
+fn bindings(inputs: &[usize], domain: &[Value]) -> Vec<Vec<(usize, Value)>> {
+    let mut out = vec![Vec::new()];
+    for &pos in inputs {
+        out = out
+            .into_iter()
+            .flat_map(|b: Vec<(usize, Value)>| {
+                domain.iter().map(move |&v| {
+                    let mut b = b.clone();
+                    b.push((pos, v));
+                    b
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each shard view returns the same tuples, in the same order, with the
+    /// same `tuples_matched` as a truncating backend over its part of the
+    /// reference partition — for bounded and unbounded methods, with zero,
+    /// one and two bound positions, on every shard count up to 8.
+    #[test]
+    fn shard_views_serve_exactly_their_reference_part(
+        rows in prop::collection::vec((0u8..5, 0u8..5, 0u8..5), 0..40),
+        shards in 1usize..=8,
+        bound in 1usize..4,
+    ) {
+        let mut sig = Signature::new();
+        let r = sig.add_relation("R", 3).unwrap();
+        let methods = [
+            AccessMethod::unbounded("all", r, &[]),
+            AccessMethod::bounded("all_k", r, &[], bound),
+            AccessMethod::unbounded("by0", r, &[0]),
+            AccessMethod::bounded("by0_k", r, &[0], bound),
+            AccessMethod::unbounded("by02", r, &[0, 2]),
+            AccessMethod::bounded("by12_k", r, &[1, 2], bound),
+        ];
+        let mut vf = ValueFactory::new();
+        let mut inst = Instance::new(sig);
+        for &(a, b, c) in &rows {
+            let tuple = [a, b, c].map(|x| vf.constant(&format!("v{x}"))).to_vec();
+            inst.insert(r, tuple).unwrap();
+        }
+        // One value the instance never mentions, so empty matches occur.
+        let domain: Vec<Value> = (0..6).map(|x| vf.constant(&format!("v{x}"))).collect();
+
+        let parts = partition_instance(&inst, shards);
+        let children = ShardedBackend::over_instance(&inst, shards).into_children();
+        prop_assert_eq!(children.len(), shards);
+        for (i, (mut child, part)) in children.into_iter().zip(&parts).enumerate() {
+            let mut reference = InstanceBackend::truncating(part);
+            for method in &methods {
+                for binding in bindings(&method.input_positions_vec(), &domain) {
+                    let got = child.access(method, &binding).unwrap();
+                    let want = reference.access(method, &binding).unwrap();
+                    let context = format!("shard {i}/{shards}, {}, {binding:?}", method.name());
+                    prop_assert_eq!(&got.tuples, &want.tuples, "{}", context);
+                    prop_assert_eq!(got.tuples_matched, want.tuples_matched, "{}", context);
+                    prop_assert_eq!(got.truncated, want.truncated, "{}", context);
+                }
+            }
+        }
+    }
 }
