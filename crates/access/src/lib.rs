@@ -41,7 +41,10 @@ pub use backend::{
     RecordingBackend, RemoteProfile, ReplayBackend, ShardedBackend, SimulatedRemoteBackend,
 };
 pub use method::{AccessMethod, ResultBound};
-pub use plan::{execute_with_backend, Command, Condition, Plan, PlanBuilder, RaExpr, TempTable};
+pub use plan::{
+    execute_with_backend, execute_with_policy, Command, Condition, ExecPolicy, NaivePolicy, Plan,
+    PlanBuilder, RaExpr, TempTable,
+};
 pub use resilience::{
     BreakerPolicy, BreakerReport, ResilienceStats, ResilientBackend, RetryPolicy,
 };

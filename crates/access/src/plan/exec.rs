@@ -1,26 +1,30 @@
 //! Execution of monotone plans against a pluggable
 //! [`AccessBackend`].
 //!
-//! The executor is backend-generic: it resolves each access command's
-//! method against the schema, evaluates the input expression, and performs
-//! one [`crate::backend::AccessBackend::access`] per binding tuple —
-//! whether the tuples come from a local instance, a simulated remote
-//! service, or a sharded federation is the backend's business. The
-//! historical entry point [`execute`] over `(&Instance, &mut dyn
-//! AccessSelection)` is preserved as a thin wrapper around the in-memory
-//! [`InstanceBackend`].
+//! This module holds the one plan interpreter of the workspace. It
+//! resolves each access command's method against the schema, evaluates
+//! the input expression, and performs one
+//! [`crate::backend::AccessBackend::access`] per binding tuple — whether
+//! the tuples come from a local instance, a simulated remote service, or a
+//! sharded federation is the backend's business. An [`ExecPolicy`] makes
+//! the three decisions in which execution strategies differ (which ready
+//! command runs next, whether a response is replayed, whether a whole
+//! plan is short-circuited); [`NaivePolicy`] is the paper's Section 2
+//! reading, and the adaptive policy lives in `rbqa-adapt`. The historical
+//! entry point [`execute`] over `(&Instance, &mut dyn AccessSelection)` is
+//! a thin wrapper around the in-memory [`InstanceBackend`].
 
 use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
 
-use crate::backend::{AccessBackend, InstanceBackend};
+use crate::backend::{AccessBackend, AccessResponse, InstanceBackend};
 use crate::plan::ra::{PlanError, TempTable};
 use crate::plan::{Command, Plan};
 use crate::schema::Schema;
 use crate::selection::AccessSelection;
 
 /// The result of executing a plan: the output rows plus execution metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanRun {
     /// Rows of the output table, sorted for deterministic comparison.
     pub output: Vec<Vec<Value>>,
@@ -43,13 +47,13 @@ pub struct PlanRun {
     pub wall_micros: u64,
     /// Accesses performed, per method name.
     pub calls_per_method: FxHashMap<String, usize>,
-    /// Binding-level accesses an adaptive executor answered without a
-    /// backend call (window-cache hits plus short-circuited disjuncts'
-    /// avoided accesses). Always 0 on the naive path.
+    /// Binding-level accesses the policy answered without a backend call
+    /// (replayed responses plus a short-circuited plan's avoided
+    /// accesses). Always 0 under [`NaivePolicy`].
     pub accesses_skipped: usize,
     /// Whether this plan run was short-circuited as a union disjunct whose
     /// rows were provably subsumed by already-executed disjuncts (0 or 1
-    /// per run; union metrics sum it). Always 0 on the naive path.
+    /// per run; union metrics sum it). Always 0 under [`NaivePolicy`].
     pub disjuncts_short_circuited: usize,
     /// Final contents of every temporary table (for inspection/debugging).
     pub tables: FxHashMap<String, TempTable>,
@@ -63,8 +67,65 @@ impl PlanRun {
     }
 }
 
-/// Executes `plan` under `schema` against an arbitrary
-/// [`AccessBackend`].
+/// The rows a policy serves for a whole plan instead of executing it.
+#[derive(Debug, Clone)]
+pub struct PlanReplay {
+    /// Arity of the plan's output table.
+    pub arity: usize,
+    /// The output rows, sorted.
+    pub rows: Vec<Vec<Value>>,
+    /// Binding-level accesses the earlier run accounted for, all of which
+    /// this run avoids.
+    pub accesses_avoided: usize,
+}
+
+/// The decisions in which execution strategies differ. The interpreter
+/// ([`execute_with_policy`]) keeps the semantics, the accounting, the
+/// `access` spans and the deadline checks; a policy only reorders that
+/// work and skips the parts it can prove redundant, so every policy
+/// returns the rows [`NaivePolicy`] returns.
+///
+/// The defaults are the naive decisions. A policy that replays must only
+/// replay what the same execution window's backend returned, because a
+/// backend is idempotent within a window and nowhere else.
+pub trait ExecPolicy {
+    /// Called once per plan, before any command runs. `Some` serves the
+    /// plan from an earlier run of a structurally identical plan.
+    fn short_circuit(&mut self, _plan: &Plan) -> Option<PlanReplay> {
+        None
+    }
+
+    /// Index of the command to run next. `in_order` is the first pending
+    /// command in plan order; it is always ready (a validated plan only
+    /// scans tables of earlier commands). Any other choice must be a
+    /// pending command whose input tables all exist.
+    fn next_command(&mut self, _commands: &[Command], _done: &[bool], in_order: usize) -> usize {
+        in_order
+    }
+
+    /// The source tuples of an earlier `(method, binding)` access of this
+    /// window, if the policy replays it.
+    fn replay(&self, _method: &str, _binding: &[(usize, Value)]) -> Option<&[Vec<Value>]> {
+        None
+    }
+
+    /// Observes a fresh backend response.
+    fn record(&mut self, _method: &str, _binding: &[(usize, Value)], _response: &AccessResponse) {}
+
+    /// Observes a completed plan: its sorted output and the binding-level
+    /// accesses it accounted for (performed plus skipped).
+    fn finished(&mut self, _arity: usize, _output: &[Vec<Value>], _accesses: usize) {}
+}
+
+/// The paper's Section 2 semantics: commands strictly in plan order, one
+/// backend call per binding, no cache.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NaivePolicy;
+
+impl ExecPolicy for NaivePolicy {}
+
+/// Executes `plan` under `schema` against an arbitrary [`AccessBackend`],
+/// with [`NaivePolicy`].
 ///
 /// The semantics follows Section 2 of the paper: commands run in order;
 /// access commands evaluate their input expression, perform one access per
@@ -77,21 +138,68 @@ pub fn execute_with_backend(
     schema: &Schema,
     backend: &mut dyn AccessBackend,
 ) -> Result<PlanRun, PlanError> {
+    execute_with_policy(plan, schema, backend, &mut NaivePolicy)
+}
+
+/// Executes `plan` under `schema` against `backend`, asking `policy` for
+/// the order of commands, replayed responses and short-circuits.
+///
+/// The returned [`PlanRun`] accounts *actual backend traffic*:
+/// `accesses_performed`, `tuples_fetched`, `latency_micros` etc. cover
+/// fresh backend calls only, while `accesses_skipped` counts the
+/// binding-level accesses answered without one. The policy's savings are
+/// flushed to the adaptive trace counters on every exit path, failures
+/// included.
+pub fn execute_with_policy<P: ExecPolicy + ?Sized>(
+    plan: &Plan,
+    schema: &Schema,
+    backend: &mut dyn AccessBackend,
+    policy: &mut P,
+) -> Result<PlanRun, PlanError> {
     plan.validate(schema)?;
     let wall_start = std::time::Instant::now();
-    let mut tables: FxHashMap<String, TempTable> = FxHashMap::default();
-    let mut accesses_performed = 0usize;
-    let mut tuples_fetched = 0usize;
-    let mut tuples_matched = 0usize;
-    let mut truncated_accesses = 0usize;
-    let mut latency_micros = 0u64;
-    let mut calls_per_method: FxHashMap<String, usize> = FxHashMap::default();
+    let mut run = PlanRun::default();
+    let mut reorders = 0u64;
+    let result = match policy.short_circuit(plan) {
+        Some(replay) => {
+            run.accesses_skipped = replay.accesses_avoided;
+            run.disjuncts_short_circuited = 1;
+            TempTable::from_rows(replay.arity, replay.rows.clone()).map(|table| {
+                run.tables.insert(plan.output_table().to_owned(), table);
+                run.output = replay.rows;
+            })
+        }
+        None => run_commands(plan, schema, backend, policy, &mut run, &mut reorders),
+    };
+    rbqa_obs::counters::add_adaptive(
+        run.accesses_skipped as u64,
+        reorders,
+        run.disjuncts_short_circuited as u64,
+    );
+    result?;
+    run.wall_micros = wall_start.elapsed().as_micros() as u64;
+    Ok(run)
+}
 
-    for command in plan.commands() {
-        match command {
+/// The interpreter loop: runs every command of a validated plan in the
+/// order `policy` picks, accumulating tables and accounting into `run`.
+fn run_commands<P: ExecPolicy + ?Sized>(
+    plan: &Plan,
+    schema: &Schema,
+    backend: &mut dyn AccessBackend,
+    policy: &mut P,
+    run: &mut PlanRun,
+    reorders: &mut u64,
+) -> Result<(), PlanError> {
+    let commands = plan.commands();
+    let mut done = vec![false; commands.len()];
+    let mut in_order = 0usize;
+    while in_order < commands.len() {
+        let chosen = policy.next_command(commands, &done, in_order);
+        match &commands[chosen] {
             Command::Middleware { output, expr } => {
-                let table = expr.evaluate(&tables)?;
-                tables.insert(output.clone(), table);
+                let table = expr.evaluate(&run.tables)?;
+                run.tables.insert(output.clone(), table);
             }
             Command::Access {
                 output,
@@ -100,17 +208,24 @@ pub fn execute_with_backend(
                 input_map,
                 output_map,
             } => {
+                if chosen != in_order {
+                    *reorders += 1;
+                }
                 let mut access_span = rbqa_obs::span("access");
                 access_span.str("method", method);
-                let (fetched0, matched0, truncated0) =
-                    (tuples_fetched, tuples_matched, truncated_accesses);
+                let (fetched0, matched0, truncated0) = (
+                    run.tuples_fetched,
+                    run.tuples_matched,
+                    run.truncated_accesses,
+                );
                 let m = schema
                     .method(method)
                     .ok_or_else(|| PlanError::UnknownMethod(method.clone()))?;
-                let bindings_table = input.evaluate(&tables)?;
+                let bindings_table = input.evaluate(&run.tables)?;
                 access_span.num("bindings", bindings_table.len() as u64);
                 let input_positions = m.input_positions_vec();
                 let mut out = TempTable::new(output_map.len());
+                let mut pruned = 0u64;
                 for binding_row in bindings_table.rows() {
                     // Cooperative deadline check, once per access: a timed
                     // out request stops occupying the worker mid-plan
@@ -124,42 +239,52 @@ pub fn execute_with_backend(
                         .zip(input_map.iter())
                         .map(|(&pos, &col)| (pos, binding_row[col]))
                         .collect();
+                    if let Some(tuples) = policy.replay(method, &binding) {
+                        // A replayed response touches no counter that
+                        // accounts backend traffic.
+                        run.accesses_skipped += 1;
+                        pruned += 1;
+                        for tuple in tuples {
+                            out.insert(output_map.iter().map(|&p| tuple[p]).collect())?;
+                        }
+                        continue;
+                    }
                     let response = backend.access(m, &binding)?;
-                    accesses_performed += 1;
-                    *calls_per_method.entry(method.clone()).or_insert(0) += 1;
-                    tuples_fetched += response.tuples.len();
-                    tuples_matched += response.tuples_matched;
-                    truncated_accesses += response.truncated as usize;
-                    latency_micros += response.latency_micros;
+                    run.accesses_performed += 1;
+                    *run.calls_per_method.entry(method.clone()).or_insert(0) += 1;
+                    run.tuples_fetched += response.tuples.len();
+                    run.tuples_matched += response.tuples_matched;
+                    run.truncated_accesses += response.truncated as usize;
+                    run.latency_micros += response.latency_micros;
+                    policy.record(method, &binding, &response);
                     for tuple in response.tuples {
-                        let projected: Vec<Value> = output_map.iter().map(|&p| tuple[p]).collect();
-                        out.insert(projected)?;
+                        out.insert(output_map.iter().map(|&p| tuple[p]).collect())?;
                     }
                 }
-                access_span.num("fetched", (tuples_fetched - fetched0) as u64);
-                access_span.num("matched", (tuples_matched - matched0) as u64);
-                access_span.num("truncated", (truncated_accesses - truncated0) as u64);
-                tables.insert(output.clone(), out);
+                access_span.num("fetched", (run.tuples_fetched - fetched0) as u64);
+                access_span.num("matched", (run.tuples_matched - matched0) as u64);
+                access_span.num("truncated", (run.truncated_accesses - truncated0) as u64);
+                access_span.num("pruned", pruned);
+                run.tables.insert(output.clone(), out);
             }
+        }
+        done[chosen] = true;
+        while in_order < commands.len() && done[in_order] {
+            in_order += 1;
         }
     }
 
-    let output_table = tables
+    let output_table = run
+        .tables
         .get(plan.output_table())
         .ok_or_else(|| PlanError::UnknownTable(plan.output_table().to_owned()))?;
-    Ok(PlanRun {
-        output: output_table.sorted_rows(),
-        accesses_performed,
-        tuples_fetched,
-        tuples_matched,
-        truncated_accesses,
-        latency_micros,
-        wall_micros: wall_start.elapsed().as_micros() as u64,
-        calls_per_method,
-        accesses_skipped: 0,
-        disjuncts_short_circuited: 0,
-        tables,
-    })
+    run.output = output_table.sorted_rows();
+    policy.finished(
+        output_table.arity(),
+        &run.output,
+        run.accesses_performed + run.accesses_skipped,
+    );
+    Ok(())
 }
 
 /// Executes `plan` on `instance` under `schema`, using `selection` to choose
@@ -358,6 +483,35 @@ mod tests {
                 calls: 3
             })
         );
+    }
+
+    #[test]
+    fn naive_policy_calls_in_plan_order() {
+        // Two independent accesses, the costly listing first: the naive
+        // policy must not reorder them, whatever they cost.
+        use crate::backend::{InstanceBackend, RecordingBackend};
+        let (schema, inst, mut vf) = setup(None);
+        let id0 = vf.constant("id0");
+        let plan = PlanBuilder::new()
+            .middleware("seed", RaExpr::singleton(vec![id0]))
+            .access("costly", "ud", RaExpr::unit(), vec![], vec![0])
+            .access("cheap", "pr", RaExpr::table("seed"), vec![0], vec![0])
+            .middleware(
+                "out",
+                RaExpr::union(RaExpr::table("costly"), RaExpr::table("cheap")),
+            )
+            .returns("out");
+        let mut backend = RecordingBackend::new(InstanceBackend::truncating(&inst));
+        let run = execute_with_policy(&plan, &schema, &mut backend, &mut NaivePolicy).unwrap();
+        let order: Vec<&str> = backend
+            .trace()
+            .records
+            .iter()
+            .map(|r| r.method.as_str())
+            .collect();
+        assert_eq!(order, ["ud", "pr"]);
+        assert_eq!(run.accesses_skipped, 0);
+        assert_eq!(run.disjuncts_short_circuited, 0);
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //!
 //! The plan returns the contents of a designated output table. Its semantics
 //! is defined relative to an [`crate::selection::AccessSelection`]
-//! (see [`exec`]).
+//! (see [`exec`], the one interpreter of plans).
 
 pub mod exec;
 pub mod ra;
 
-pub use exec::{execute, execute_with_backend, PlanRun};
+pub use exec::{
+    execute, execute_with_backend, execute_with_policy, ExecPolicy, NaivePolicy, PlanReplay,
+    PlanRun,
+};
 pub use ra::{Condition, PlanError, RaExpr, TempTable};
 
 use rustc_hash::FxHashMap;

@@ -1,28 +1,32 @@
 //! Adaptive plan execution: runtime access relevance, cost-ordered
-//! accesses, and disjunct subsumption (ROADMAP item 3).
+//! accesses, and disjunct subsumption.
 //!
-//! The naive executor in `rbqa-access` runs every access of every plan in
-//! static order. Benedikt–Gottlob–Senellart ("Determining Relevance of
-//! Accesses at Runtime") show that many of those accesses provably cannot
-//! contribute new answers given the data already fetched, and
-//! Martinenghi's undecidability result bounds what *static* pruning can
-//! ever do — so this crate prunes at runtime, where the per-call
-//! accounting (tuples matched, truncation, latency) that
-//! [`rbqa_access::AccessBackend`] surfaces is available as a signal.
+//! Naive execution runs every access of every plan in static order.
+//! Benedikt–Gottlob–Senellart ("Determining Relevance of Accesses at
+//! Runtime") show that many of those accesses provably cannot contribute
+//! new answers given the data already fetched, and Martinenghi's
+//! undecidability result bounds what *static* pruning can ever do — so
+//! this crate prunes at runtime, where the per-call accounting (tuples
+//! matched, truncation, latency) that [`rbqa_access::AccessBackend`]
+//! surfaces is available as a signal.
 //!
-//! Three mechanisms, all sound (the adaptive executor returns exactly the
-//! naive executor's rows, it just performs fewer backend calls):
+//! The crate holds no interpreter of its own. [`AdaptiveWindow`] is an
+//! [`rbqa_access::ExecPolicy`]: the one plan interpreter,
+//! [`rbqa_access::execute_with_policy`], asks it the three decisions in
+//! which adaptive and naive execution differ. All three are sound (the
+//! adaptive policy returns exactly the naive policy's rows, it just
+//! performs fewer backend calls):
 //!
-//! * **Relevance oracle** ([`window::AdaptiveWindow`]): before each
-//!   binding-level access, a window-scoped cache of `(method, binding) →
-//!   response` answers repeated accesses without a backend call. Within
-//!   one execution window the backend is idempotent by construction (one
-//!   selection cache, one seeded latency/fault stream per window — see
-//!   `ServiceSimulator::run_plans_exec`), so replaying the cached response
-//!   is exactly what the backend would have returned. This dedups both
-//!   repeated bindings inside one access command and shared accesses
-//!   across a union's disjuncts. Empty binding sets skip the access
-//!   entirely.
+//! * **Relevance oracle** (replay): before each binding-level access, a
+//!   window-scoped cache of `(method, binding) → response` answers
+//!   repeated accesses without a backend call. Within one execution
+//!   window the backend is idempotent by construction (one selection
+//!   cache, one seeded latency/fault stream per window — see
+//!   `ServiceSimulator::run_plans_exec_results`), so replaying the cached
+//!   response is exactly what the backend would have returned. This
+//!   dedups both repeated bindings inside one access command and shared
+//!   accesses across a union's disjuncts. Empty binding sets skip the
+//!   access entirely.
 //! * **Cost model + reordering** ([`window::MethodStats`],
 //!   [`graph::DependencyGraph`]): per-method EWMAs of observed latency and
 //!   fan-out (tuples fetched per call) rank *commutable* access commands —
@@ -40,15 +44,14 @@
 //!
 //! [`AdaptiveMode`] is the declarative switch threaded through
 //! `ExecOptions` (`option exec.adaptive on|validate|off` on the wire):
-//! `Validate` runs adaptive and naive side by side and fails with the
-//! structured [`rbqa_access::plan::PlanError::AdaptiveMismatch`]
-//! discrepancy if their rows differ.
+//! `Validate` runs the interpreter under both policies side by side and
+//! fails with the structured
+//! [`rbqa_access::plan::PlanError::AdaptiveMismatch`] discrepancy if their
+//! rows differ.
 
-pub mod exec;
 pub mod graph;
 pub mod window;
 
-pub use exec::execute_plan_adaptive;
 pub use graph::DependencyGraph;
 pub use window::{AdaptiveWindow, MethodStats};
 

@@ -288,7 +288,7 @@ pub fn response_to_json_with(
             // `BUDGET_EXHAUSTED` / `BACKEND_UNAVAILABLE` error responses
             // (an over-quota run fails fast instead of reporting a soft
             // flag). Match on those error codes, not on this field.
-            .field_bool("within_rate_limit", pm.within_rate_limit)
+            .field_bool("within_rate_limit", true)
             .field_raw("calls_per_method", &calls.finish())
             .finish();
         obj = obj

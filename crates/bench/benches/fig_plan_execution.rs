@@ -6,9 +6,10 @@
 //! counting the accesses performed along the way in the report binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rbqa_access::plan::execute;
 use rbqa_access::{Condition, Plan, PlanBuilder, RaExpr, TruncatingSelection};
 use rbqa_common::ValueFactory;
-use rbqa_engine::{university_instance, ServiceSimulator};
+use rbqa_engine::university_instance;
 use rbqa_workloads::scenarios;
 
 fn salary_plan(values: &mut ValueFactory) -> Plan {
@@ -35,7 +36,6 @@ fn bench_plan_execution(c: &mut Criterion) {
             let plan = salary_plan(&mut scenario.values);
             let data =
                 university_instance(scenario.schema.signature(), &mut scenario.values, size, 5);
-            let simulator = ServiceSimulator::new(scenario.schema.clone(), data);
             let label = match bound {
                 None => format!("unbounded/{size}"),
                 Some(k) => format!("bound{k}/{size}"),
@@ -43,9 +43,7 @@ fn bench_plan_execution(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::from_parameter(label), &size, |b, _| {
                 b.iter(|| {
                     let mut selection = TruncatingSelection::new();
-                    simulator
-                        .run_plan(&plan, &mut selection)
-                        .expect("plan executes")
+                    execute(&plan, &scenario.schema, &data, &mut selection).expect("plan executes")
                 })
             });
         }

@@ -126,7 +126,7 @@ impl ScenarioRow {
 /// without budgets or fault injection.
 fn run_union(simulator: &ServiceSimulator, plans: &[&Plan], exec: &ExecOptions) -> UnionOutcome {
     let results = simulator
-        .run_plans_exec(plans, exec)
+        .run_plans_exec_results(plans, exec)
         .expect("union executes");
     let mut outcome = UnionOutcome {
         rows: Vec::new(),
@@ -134,7 +134,7 @@ fn run_union(simulator: &ServiceSimulator, plans: &[&Plan], exec: &ExecOptions) 
         accesses_skipped: 0,
         disjuncts_short_circuited: 0,
     };
-    for (plan_rows, metrics) in results {
+    for (plan_rows, metrics) in results.into_iter().map(|r| r.expect("disjunct executes")) {
         outcome.rows.extend(plan_rows);
         outcome.total_calls += metrics.total_calls;
         outcome.accesses_skipped += metrics.accesses_skipped;

@@ -5,9 +5,10 @@
 //!
 //! Run with `cargo run --release -p rbqa-bench --bin plan_exec_report`.
 
+use rbqa_access::plan::execute;
 use rbqa_access::TruncatingSelection;
 use rbqa_core::{decide_monotone_answerability, AnswerabilityOptions};
-use rbqa_engine::{university_instance, validate_plan, ServiceSimulator};
+use rbqa_engine::{university_instance, validate_plan};
 use rbqa_logic::evaluate;
 use rbqa_workloads::scenarios;
 
@@ -40,20 +41,17 @@ fn main() {
         };
         let data = university_instance(scenario.schema.signature(), &mut scenario.values, size, 7);
         let expected = evaluate(&query, &data).expect("benchmark queries are safe");
-        let simulator = ServiceSimulator::new(scenario.schema.clone(), data.clone());
         let mut selection = TruncatingSelection::new();
-        let (output, metrics) = simulator
-            .run_plan(&plan, &mut selection)
-            .expect("plan executes");
-        let complete = output == expected;
+        let run = execute(&plan, &scenario.schema, &data, &mut selection).expect("plan executes");
+        let complete = run.output == expected;
         println!(
             "{:<12} {:<28} {:<12} {:<10} {:<10} {:<12} {:<10}",
             format!("univ-{size}"),
             "Q1_salary_names",
             format!("{:?}", result.answerability),
-            metrics.total_calls,
-            metrics.tuples_fetched,
-            output.len(),
+            run.accesses_performed,
+            run.tuples_fetched,
+            run.output.len(),
             complete
         );
 
@@ -81,19 +79,16 @@ fn main() {
             continue;
         };
         let data = university_instance(scenario.schema.signature(), &mut scenario.values, 100, 3);
-        let simulator = ServiceSimulator::new(scenario.schema.clone(), data.clone());
         let mut selection = TruncatingSelection::new();
-        let (output, metrics) = simulator
-            .run_plan(&plan, &mut selection)
-            .expect("plan executes");
+        let run = execute(&plan, &scenario.schema, &data, &mut selection).expect("plan executes");
         let expected = evaluate(&query, &data).expect("benchmark queries are safe");
         println!(
             "  bound {:>4}: answerable={:?}, calls={}, tuples fetched={}, boolean output matches={}",
             bound,
             result.answerability,
-            metrics.total_calls,
-            metrics.tuples_fetched,
-            output.is_empty() == expected.is_empty()
+            run.accesses_performed,
+            run.tuples_fetched,
+            run.output.is_empty() == expected.is_empty()
         );
     }
 }

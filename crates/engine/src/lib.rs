@@ -14,7 +14,7 @@
 //! * [`service`] — a web-service simulator wrapping an instance behind the
 //!   schema's access methods through pluggable
 //!   [`rbqa_access::AccessBackend`]s (in-memory, simulated-remote,
-//!   sharded), with per-method call accounting and hard rate limits;
+//!   sharded), with per-method call accounting and hard call budgets;
 //! * [`validation`] — the empirical plan validation harness: execute a plan
 //!   under many access selections **and backends** over instances
 //!   satisfying the constraints and compare its output with the query's

@@ -6,30 +6,34 @@
 //! access-selection semantics), a [`SimulatedRemoteBackend`] with seeded
 //! latency and faults, or a [`ShardedBackend`] federation over hash
 //! partitions of the hidden data. [`ExecOptions`] names the backend and a
-//! per-run call budget so higher layers (`rbqa-service`, the wire
+//! per-request call budget so higher layers (`rbqa-service`, the wire
 //! protocol) can select them declaratively — and fingerprint the choice.
+//! [`ServiceSimulator::run_plans_exec_results`] is the one execution entry
+//! point; a caller that needs a custom [`rbqa_access::AccessSelection`]
+//! runs [`rbqa_access::plan::execute`] over [`ServiceSimulator::data`].
 //!
-//! Rate limits are **hard**: a run that exceeds the configured quota fails
-//! fast with [`rbqa_access::AccessError::BudgetExhausted`] (surfaced as
+//! Call budgets are **hard**: a window that exceeds its quota fails fast
+//! with [`rbqa_access::AccessError::BudgetExhausted`] (surfaced as
 //! `PlanError::Access`) instead of completing and setting a soft flag.
 
 use rbqa_access::backend::{
     AccessBackend, BudgetedBackend, InstanceBackend, RemoteProfile, ShardedBackend,
     SimulatedRemoteBackend,
 };
-use rbqa_access::plan::{execute_with_backend, PlanError, PlanRun};
+use rbqa_access::plan::{execute_with_policy, ExecPolicy, NaivePolicy, PlanError, PlanRun};
 use rbqa_access::{
-    AccessSelection, BreakerPolicy, Plan, ResilienceStats, ResilientBackend, RetryPolicy, Schema,
+    BreakerPolicy, Plan, ResilienceStats, ResilientBackend, RetryPolicy, Schema,
     TruncatingSelection,
 };
-use rbqa_adapt::{execute_plan_adaptive, AdaptiveMode, AdaptiveWindow};
+use rbqa_adapt::{AdaptiveMode, AdaptiveWindow};
 use rbqa_common::{Instance, Value};
 use rustc_hash::FxHashMap;
 
-/// Upper bound on the shard count a request may name. Building a sharded
-/// backend allocates one instance per shard before any access runs, so an
-/// unchecked wire-supplied count would be a one-line memory bomb; 64
-/// comfortably covers every realistic federation at simulator scale.
+/// Upper bound on the shard count a request may name. Shards are views
+/// over the one hidden instance, but every access fans out to every shard
+/// and merges their answers, so an unchecked wire-supplied count would
+/// multiply the work of each access without bound; 64 comfortably covers
+/// every realistic federation at simulator scale.
 pub const MAX_SHARDS: usize = 64;
 
 /// Which data-source backend executes a plan.
@@ -88,9 +92,10 @@ impl BackendSpec {
 pub struct ExecOptions {
     /// The backend to execute against.
     pub backend: BackendSpec,
-    /// Hard cap on the total number of accesses one run may perform; the
-    /// over-quota call fails with `BudgetExhausted`. Combines with a
-    /// simulator-level rate limit by taking the minimum.
+    /// Hard cap on the total number of accesses one execution window (one
+    /// request, all its disjunct plans together) may perform; the
+    /// over-quota call fails with `BudgetExhausted` and the window returns
+    /// no rows for the plan it failed.
     pub call_budget: Option<usize>,
     /// Retry retryable access faults through a [`ResilientBackend`]
     /// wrapping the whole execution window. `None` = no wrapper (every
@@ -188,11 +193,6 @@ pub struct PlanMetrics {
     pub wall_micros: u64,
     /// Number of rows in the plan's output.
     pub output_size: usize,
-    /// Whether the run stayed within the configured rate limit. Since
-    /// over-quota runs now fail fast with `BudgetExhausted`, this is
-    /// `true` for every completed run; the field is kept for wire
-    /// compatibility.
-    pub within_rate_limit: bool,
     /// Retry attempts the resilience wrapper spent on this plan's
     /// accesses (0 without [`ExecOptions::retry`]).
     pub retries: u64,
@@ -218,7 +218,6 @@ impl PlanMetrics {
             latency_micros: run.latency_micros,
             wall_micros: run.wall_micros,
             output_size: run.output.len(),
-            within_rate_limit: true,
             retries: 0,
             breaker_rejections: 0,
             accesses_skipped: run.accesses_skipped,
@@ -231,41 +230,21 @@ impl PlanMetrics {
 /// access methods of a schema, as in the paper's motivating examples
 /// (Section 1). Plans are the only way to look at the data; the simulator
 /// tracks how many calls each method receives, how many tuples travel over
-/// the (simulated) wire, and enforces rate limits as hard errors.
+/// the (simulated) wire, and enforces call budgets as hard errors.
 ///
-/// The simulator is `Clone` so higher layers (the `rbqa-service` catalog)
-/// can share it across worker threads; cloning copies the schema and the
-/// hidden instance.
+/// Cloning copies the schema and the whole hidden instance. The
+/// `rbqa-service` catalog therefore never clones a simulator: worker
+/// threads share one per catalog entry behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct ServiceSimulator {
     schema: Schema,
     data: Instance,
-    rate_limit: Option<usize>,
 }
 
 impl ServiceSimulator {
     /// Creates a simulator over `schema` hiding `data`.
     pub fn new(schema: Schema, data: Instance) -> Self {
-        ServiceSimulator {
-            schema,
-            data,
-            rate_limit: None,
-        }
-    }
-
-    /// Sets a rate limit: the maximum total number of accesses one
-    /// *execution window* may perform before it fails with
-    /// [`rbqa_access::AccessError::BudgetExhausted`]. A window is one
-    /// [`ServiceSimulator::run_plan`]/
-    /// [`ServiceSimulator::run_plan_with_backend`] call, or one whole
-    /// [`ServiceSimulator::run_plans_exec`] request (all disjunct plans
-    /// of a union share the window, as they would share a real service's
-    /// quota). This models the per-window call quotas of real services —
-    /// and unlike the historical soft flag, an over-quota window returns
-    /// **no rows**.
-    pub fn with_rate_limit(mut self, limit: usize) -> Self {
-        self.rate_limit = Some(limit);
-        self
+        ServiceSimulator { schema, data }
     }
 
     /// The schema exposed by the services.
@@ -276,55 +255,6 @@ impl ServiceSimulator {
     /// The hidden data (visible to the test harness, not to plans).
     pub fn data(&self) -> &Instance {
         &self.data
-    }
-
-    /// The configured rate limit, if any.
-    pub fn rate_limit(&self) -> Option<usize> {
-        self.rate_limit
-    }
-
-    /// The effective per-run call budget: the minimum of the simulator's
-    /// rate limit and the request's own budget.
-    fn effective_budget(&self, exec_budget: Option<usize>) -> Option<usize> {
-        match (self.rate_limit, exec_budget) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
-    }
-
-    fn finish(run: PlanRun) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        let metrics = PlanMetrics::from_run(&run);
-        Ok((run.output, metrics))
-    }
-
-    /// Executes a plan against an arbitrary backend, applying the
-    /// simulator's rate limit on top, and returns the plan's output plus
-    /// the collected metrics.
-    pub fn run_plan_with_backend(
-        &self,
-        plan: &Plan,
-        backend: &mut dyn AccessBackend,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        let run = match self.rate_limit {
-            Some(limit) => {
-                let mut budgeted = BudgetedBackend::new(backend, limit);
-                execute_with_backend(plan, &self.schema, &mut budgeted)?
-            }
-            None => execute_with_backend(plan, &self.schema, backend)?,
-        };
-        Self::finish(run)
-    }
-
-    /// Executes a plan through the in-memory backend under the given access
-    /// selection.
-    pub fn run_plan(
-        &self,
-        plan: &Plan,
-        selection: &mut dyn AccessSelection,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        let mut backend = InstanceBackend::new(&self.data, selection);
-        self.run_plan_with_backend(plan, &mut backend)
     }
 
     /// Builds the backend named by `spec` over the hidden instance, with
@@ -378,20 +308,9 @@ impl ServiceSimulator {
     /// `call_budget` caps the request's total accesses across all
     /// disjunct plans — not each plan separately. The shared backend also
     /// keeps accesses idempotent across plans (one selection cache, one
-    /// remote latency/fault stream).
-    pub fn run_plans_exec(
-        &self,
-        plans: &[&Plan],
-        exec: &ExecOptions,
-    ) -> Result<Vec<PlanRunResult>, rbqa_access::plan::PlanError> {
-        self.run_plans_exec_results(plans, exec)?
-            .into_iter()
-            .collect()
-    }
-
-    /// Runs every plan in the set against one shared backend window but
-    /// keeps the **per-plan** outcomes apart, so degraded union execution
-    /// can keep the rows of the disjuncts that succeeded.
+    /// remote latency/fault stream). The **per-plan** outcomes stay apart,
+    /// so degraded union execution can keep the rows of the disjuncts that
+    /// succeeded.
     ///
     /// The outer `Err` is a setup failure (e.g. an invalid shard count)
     /// before any plan ran. Inner results are in plan order; a failed
@@ -412,14 +331,15 @@ impl ServiceSimulator {
         rbqa_access::plan::PlanError,
     > {
         match exec.adaptive {
-            AdaptiveMode::Off => self.run_plans_window(plans, exec, false),
-            AdaptiveMode::On => self.run_plans_window(plans, exec, true),
+            AdaptiveMode::Off => self.run_plans_window(plans, exec, &mut NaivePolicy),
+            AdaptiveMode::On => self.run_plans_window(plans, exec, &mut AdaptiveWindow::new()),
             AdaptiveMode::Validate => {
-                // Two independent windows (each with its own backend and
-                // call budget), naive first, then adaptive; per-plan
-                // outcomes are compared row-for-row.
-                let naive = self.run_plans_window(plans, exec, false)?;
-                let adaptive = self.run_plans_window(plans, exec, true)?;
+                // The same interpreter under both policies, on two
+                // independent windows (each with its own backend and call
+                // budget), naive first; per-plan outcomes are compared
+                // row-for-row.
+                let naive = self.run_plans_window(plans, exec, &mut NaivePolicy)?;
+                let adaptive = self.run_plans_window(plans, exec, &mut AdaptiveWindow::new())?;
                 Ok(naive
                     .into_iter()
                     .zip(adaptive)
@@ -455,30 +375,27 @@ impl ServiceSimulator {
         }
     }
 
-    /// Runs one execution window (one backend, one budget, one adaptive
-    /// state) over the plan set — the shared machinery behind every
+    /// Runs one execution window (one backend, one budget, one policy)
+    /// over the plan set — the shared machinery behind every
     /// [`AdaptiveMode`].
     fn run_plans_window(
         &self,
         plans: &[&Plan],
         exec: &ExecOptions,
-        adaptive: bool,
+        policy: &mut dyn ExecPolicy,
     ) -> Result<
         Vec<Result<PlanRunResult, rbqa_access::plan::PlanError>>,
         rbqa_access::plan::PlanError,
     > {
-        let mut window = adaptive.then(AdaptiveWindow::new);
-        let mut execute = |plan: &Plan,
-                           backend: &mut dyn AccessBackend|
-         -> Result<PlanRun, rbqa_access::plan::PlanError> {
-            match window.as_mut() {
-                Some(w) => execute_plan_adaptive(plan, &self.schema, backend, w),
-                None => execute_with_backend(plan, &self.schema, backend),
-            }
+        let mut execute = |plan: &Plan, backend: &mut dyn AccessBackend| {
+            execute_with_policy(plan, &self.schema, backend, policy).map(|run| {
+                let metrics = PlanMetrics::from_run(&run);
+                (run.output, metrics)
+            })
         };
         let mut backend = self.build_backend(exec.backend)?;
         let mut budgeted;
-        let inner: &mut dyn AccessBackend = match self.effective_budget(exec.call_budget) {
+        let inner: &mut dyn AccessBackend = match exec.call_budget {
             Some(limit) => {
                 budgeted = BudgetedBackend::new(backend.as_mut(), limit);
                 &mut budgeted
@@ -487,10 +404,7 @@ impl ServiceSimulator {
         };
         if exec.retry.is_none() && exec.breaker.is_none() {
             let mut inner = inner;
-            return Ok(plans
-                .iter()
-                .map(|plan| execute(plan, &mut inner).and_then(Self::finish))
-                .collect());
+            return Ok(plans.iter().map(|plan| execute(plan, &mut inner)).collect());
         }
         let mut resilient =
             ResilientBackend::new(inner, exec.retry.unwrap_or_else(RetryPolicy::none));
@@ -500,48 +414,19 @@ impl ServiceSimulator {
         let mut results = Vec::with_capacity(plans.len());
         let mut prev = ResilienceStats::default();
         for plan in plans {
-            let result =
-                execute(plan, &mut resilient)
-                    .and_then(Self::finish)
-                    .map(|(rows, mut metrics)| {
-                        // Attribute the window's resilience activity to the
-                        // plan that incurred it by diffing the cumulative
-                        // stats around each run.
-                        let now = resilient.stats();
-                        metrics.retries = now.retries - prev.retries;
-                        metrics.breaker_rejections =
-                            now.breaker_rejections - prev.breaker_rejections;
-                        (rows, metrics)
-                    });
+            let result = execute(plan, &mut resilient).map(|(rows, mut metrics)| {
+                // Attribute the window's resilience activity to the plan
+                // that incurred it by diffing the cumulative stats around
+                // each run.
+                let now = resilient.stats();
+                metrics.retries = now.retries - prev.retries;
+                metrics.breaker_rejections = now.breaker_rejections - prev.breaker_rejections;
+                (rows, metrics)
+            });
             prev = resilient.stats();
             results.push(result);
         }
         Ok(results)
-    }
-
-    /// Executes one plan deterministically under declarative
-    /// [`ExecOptions`] (the single-plan case of
-    /// [`ServiceSimulator::run_plans_exec`]).
-    pub fn run_plan_exec(
-        &self,
-        plan: &Plan,
-        exec: &ExecOptions,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        let mut results = self.run_plans_exec(&[plan], exec)?;
-        Ok(results.remove(0))
-    }
-
-    /// Executes a plan under the deterministic default options (in-memory
-    /// backend, [`TruncatingSelection`]).
-    ///
-    /// This is the execution path used by `rbqa-service` for `Execute`
-    /// requests without explicit exec options: deterministic (repeatable
-    /// responses for identical requests) and valid for any result bound.
-    pub fn run_plan_deterministic(
-        &self,
-        plan: &Plan,
-    ) -> Result<PlanRunResult, rbqa_access::plan::PlanError> {
-        self.run_plan_exec(plan, &ExecOptions::default())
     }
 }
 
@@ -550,9 +435,7 @@ mod tests {
     use super::*;
     use crate::dataset::university_instance;
     use rbqa_access::plan::PlanError;
-    use rbqa_access::{
-        AccessError, AccessMethod, Condition, PlanBuilder, RaExpr, TruncatingSelection,
-    };
+    use rbqa_access::{AccessError, AccessMethod, Condition, PlanBuilder, RaExpr};
     use rbqa_common::{Signature, ValueFactory};
 
     fn setup(ud_bound: Option<usize>, n: usize) -> (ServiceSimulator, ValueFactory) {
@@ -573,6 +456,26 @@ mod tests {
         (ServiceSimulator::new(schema, data), vf)
     }
 
+    /// The single-plan case of [`ServiceSimulator::run_plans_exec_results`].
+    fn run_one(
+        sim: &ServiceSimulator,
+        plan: &Plan,
+        exec: &ExecOptions,
+    ) -> Result<PlanRunResult, PlanError> {
+        sim.run_plans_exec_results(&[plan], exec)?.remove(0)
+    }
+
+    /// Every plan's result, or the first plan error.
+    fn run_all(
+        sim: &ServiceSimulator,
+        plans: &[&Plan],
+        exec: &ExecOptions,
+    ) -> Result<Vec<PlanRunResult>, PlanError> {
+        sim.run_plans_exec_results(plans, exec)?
+            .into_iter()
+            .collect()
+    }
+
     fn salary_plan(vf: &mut ValueFactory) -> Plan {
         let salary = vf.constant("10000");
         PlanBuilder::new()
@@ -590,14 +493,12 @@ mod tests {
     fn metrics_count_calls_per_method() {
         let (sim, mut vf) = setup(None, 10);
         let plan = salary_plan(&mut vf);
-        let mut sel = TruncatingSelection::new();
-        let (output, metrics) = sim.run_plan(&plan, &mut sel).unwrap();
+        let (output, metrics) = run_one(&sim, &plan, &ExecOptions::default()).unwrap();
         assert!(!output.is_empty());
         assert_eq!(metrics.calls_per_method["ud"], 1);
         // One pr call per directory id.
         assert_eq!(metrics.calls_per_method["pr"], 10);
         assert_eq!(metrics.total_calls, 11);
-        assert!(metrics.within_rate_limit);
         assert!(metrics.tuples_fetched >= metrics.output_size);
         // Unbounded methods never truncate; local backend has no latency.
         assert_eq!(metrics.truncated_accesses, 0);
@@ -606,12 +507,14 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_violations_fail_fast() {
+    fn call_budget_violations_fail_fast() {
         let (sim, mut vf) = setup(None, 30);
-        let sim = sim.with_rate_limit(5);
         let plan = salary_plan(&mut vf);
-        let mut sel = TruncatingSelection::new();
-        let err = sim.run_plan(&plan, &mut sel).unwrap_err();
+        let exec = ExecOptions {
+            call_budget: Some(5),
+            ..ExecOptions::default()
+        };
+        let err = run_one(&sim, &plan, &exec).unwrap_err();
         assert_eq!(
             err,
             PlanError::Access(AccessError::BudgetExhausted {
@@ -619,42 +522,12 @@ mod tests {
                 calls: 6
             })
         );
-        // The deterministic Execute path fails identically.
-        let err = sim.run_plan_deterministic(&plan).unwrap_err();
-        assert!(matches!(
-            err,
-            PlanError::Access(AccessError::BudgetExhausted { .. })
-        ));
-    }
-
-    #[test]
-    fn with_rate_limit_builder() {
-        let (sim, mut vf) = setup(None, 3);
-        let sim = sim.with_rate_limit(100);
-        assert_eq!(sim.rate_limit(), Some(100));
-        let plan = salary_plan(&mut vf);
-        let mut sel = TruncatingSelection::new();
-        let (_, metrics) = sim.run_plan(&plan, &mut sel).unwrap();
-        assert!(metrics.within_rate_limit);
-    }
-
-    #[test]
-    fn exec_call_budget_combines_with_the_rate_limit() {
-        let (sim, mut vf) = setup(None, 10);
-        let sim = sim.with_rate_limit(100);
-        let plan = salary_plan(&mut vf);
-        let exec = ExecOptions {
-            call_budget: Some(4),
-            ..ExecOptions::default()
+        // Every backend enforces the budget identically.
+        let sharded = ExecOptions {
+            backend: BackendSpec::Sharded { shards: 2 },
+            ..exec
         };
-        let err = sim.run_plan_exec(&plan, &exec).unwrap_err();
-        assert_eq!(
-            err,
-            PlanError::Access(AccessError::BudgetExhausted {
-                budget: 4,
-                calls: 5
-            })
-        );
+        assert_eq!(run_one(&sim, &plan, &sharded).unwrap_err(), err);
     }
 
     #[test]
@@ -663,10 +536,9 @@ mod tests {
         let (sim_bounded, mut vf2) = setup(Some(3), 20);
         let plan1 = salary_plan(&mut vf1);
         let plan2 = salary_plan(&mut vf2);
-        let mut sel = TruncatingSelection::new();
-        let (out_full, m_full) = sim_unbounded.run_plan(&plan1, &mut sel).unwrap();
-        let mut sel = TruncatingSelection::new();
-        let (out_bounded, m_bounded) = sim_bounded.run_plan(&plan2, &mut sel).unwrap();
+        let exec = ExecOptions::default();
+        let (out_full, m_full) = run_one(&sim_unbounded, &plan1, &exec).unwrap();
+        let (out_bounded, m_bounded) = run_one(&sim_bounded, &plan2, &exec).unwrap();
         assert!(m_bounded.tuples_fetched < m_full.tuples_fetched);
         assert!(out_bounded.len() <= out_full.len());
         assert_eq!(m_bounded.truncated_accesses, 1, "the bounded ud access");
@@ -677,10 +549,10 @@ mod tests {
     fn sharded_and_remote_backends_match_instance_rows() {
         let (sim, mut vf) = setup(None, 16);
         let plan = salary_plan(&mut vf);
-        let (instance_rows, _) = sim.run_plan_deterministic(&plan).unwrap();
+        let (instance_rows, _) = run_one(&sim, &plan, &ExecOptions::default()).unwrap();
         for shards in 1..=4 {
             let exec = ExecOptions::with_backend(BackendSpec::Sharded { shards });
-            let (rows, metrics) = sim.run_plan_exec(&plan, &exec).unwrap();
+            let (rows, metrics) = run_one(&sim, &plan, &exec).unwrap();
             assert_eq!(rows, instance_rows, "{shards} shards");
             assert_eq!(metrics.truncated_accesses, 0);
         }
@@ -690,7 +562,7 @@ mod tests {
             fault_rate_pct: 0,
             transient: false,
         });
-        let (rows, metrics) = sim.run_plan_exec(&plan, &exec).unwrap();
+        let (rows, metrics) = run_one(&sim, &plan, &exec).unwrap();
         assert_eq!(rows, instance_rows);
         assert!(
             metrics.latency_micros >= 100 * metrics.total_calls as u64,
@@ -709,8 +581,8 @@ mod tests {
             call_budget: Some(15),
             ..ExecOptions::default()
         };
-        assert!(sim.run_plans_exec(&[&plan], &exec).is_ok());
-        let err = sim.run_plans_exec(&[&plan, &plan], &exec).unwrap_err();
+        assert!(run_all(&sim, &[&plan], &exec).is_ok());
+        let err = run_all(&sim, &[&plan, &plan], &exec).unwrap_err();
         assert_eq!(
             err,
             PlanError::Access(AccessError::BudgetExhausted {
@@ -726,7 +598,7 @@ mod tests {
         let plan = salary_plan(&mut vf);
         let exec = ExecOptions::with_backend(BackendSpec::Sharded { shards: 0 });
         assert!(matches!(
-            sim.run_plan_exec(&plan, &exec),
+            run_one(&sim, &plan, &exec),
             Err(PlanError::Malformed(_))
         ));
     }
@@ -789,7 +661,7 @@ mod tests {
         // converges on the same rows the in-memory backend produces.
         let (sim, mut vf) = setup(None, 12);
         let plan = salary_plan(&mut vf);
-        let (instance_rows, _) = sim.run_plan_deterministic(&plan).unwrap();
+        let (instance_rows, _) = run_one(&sim, &plan, &ExecOptions::default()).unwrap();
         let exec = ExecOptions {
             backend: BackendSpec::SimulatedRemote {
                 seed: 11,
@@ -804,7 +676,7 @@ mod tests {
             }),
             ..ExecOptions::default()
         };
-        let (rows, metrics) = sim.run_plan_exec(&plan, &exec).unwrap();
+        let (rows, metrics) = run_one(&sim, &plan, &exec).unwrap();
         assert_eq!(rows, instance_rows);
         assert!(metrics.retries > 0, "a 40% fault rate must retry");
     }
@@ -864,14 +736,12 @@ mod tests {
                 RaExpr::project(RaExpr::table("matching2"), vec![1]),
             )
             .returns("names2");
-        let naive = sim
-            .run_plans_exec(&[&p1, &p2], &ExecOptions::default())
-            .unwrap();
+        let naive = run_all(&sim, &[&p1, &p2], &ExecOptions::default()).unwrap();
         let adaptive_exec = ExecOptions {
             adaptive: AdaptiveMode::On,
             ..ExecOptions::default()
         };
-        let adaptive = sim.run_plans_exec(&[&p1, &p2], &adaptive_exec).unwrap();
+        let adaptive = run_all(&sim, &[&p1, &p2], &adaptive_exec).unwrap();
         assert_eq!(naive[0].0, adaptive[0].0);
         assert_eq!(naive[1].0, adaptive[1].0);
         let naive_calls: usize = naive.iter().map(|(_, m)| m.total_calls).sum();
@@ -912,7 +782,7 @@ mod tests {
                 adaptive: AdaptiveMode::Validate,
                 ..ExecOptions::default()
             };
-            assert!(sim.run_plan_exec(&plan, &exec).is_ok(), "{spec:?}");
+            assert!(run_one(&sim, &plan, &exec).is_ok(), "{spec:?}");
         }
     }
 
@@ -928,7 +798,7 @@ mod tests {
             call_budget: Some(15),
             ..ExecOptions::default()
         };
-        assert!(sim.run_plans_exec(&[&plan, &plan], &naive_exec).is_err());
+        assert!(run_all(&sim, &[&plan, &plan], &naive_exec).is_err());
         for adaptive in [AdaptiveMode::On, AdaptiveMode::Validate] {
             let exec = ExecOptions {
                 call_budget: Some(15),
@@ -955,7 +825,7 @@ mod tests {
             adaptive: AdaptiveMode::On,
             ..ExecOptions::default()
         };
-        let (calm_rows, calm_metrics) = sim.run_plan_exec(&plan, &calm).unwrap();
+        let (calm_rows, calm_metrics) = run_one(&sim, &plan, &calm).unwrap();
         let faulty = ExecOptions {
             backend: BackendSpec::SimulatedRemote {
                 seed: 11,
@@ -971,7 +841,7 @@ mod tests {
             adaptive: AdaptiveMode::On,
             ..ExecOptions::default()
         };
-        let (rows, metrics) = sim.run_plan_exec(&plan, &faulty).unwrap();
+        let (rows, metrics) = run_one(&sim, &plan, &faulty).unwrap();
         assert_eq!(rows, calm_rows);
         assert!(metrics.retries > 0, "a 40% fault rate must retry");
         assert_eq!(
@@ -984,7 +854,7 @@ mod tests {
         let mut window = rbqa_adapt::AdaptiveWindow::new();
         let mut backend = sim.build_backend(faulty.backend).unwrap();
         let mut resilient = ResilientBackend::new(backend.as_mut(), faulty.retry.unwrap());
-        let run = execute_plan_adaptive(&plan, sim.schema(), &mut resilient, &mut window).unwrap();
+        let run = execute_with_policy(&plan, sim.schema(), &mut resilient, &mut window).unwrap();
         let samples: u64 = ["ud", "pr"]
             .iter()
             .filter_map(|m| window.method_stats(m))

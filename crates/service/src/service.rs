@@ -103,8 +103,7 @@ fn dedup_disjuncts(
 }
 
 /// Sums two per-run plan metrics: union execution runs one plan per
-/// disjunct and the response reports the aggregate (calls and tuples are
-/// additive; the rate-limit flag is conjunctive).
+/// disjunct and the response reports the aggregate.
 fn merge_plan_metrics(mut acc: PlanMetrics, other: PlanMetrics) -> PlanMetrics {
     for (method, calls) in other.calls_per_method {
         *acc.calls_per_method.entry(method).or_insert(0) += calls;
@@ -116,7 +115,6 @@ fn merge_plan_metrics(mut acc: PlanMetrics, other: PlanMetrics) -> PlanMetrics {
     acc.latency_micros += other.latency_micros;
     acc.wall_micros += other.wall_micros;
     acc.output_size += other.output_size;
-    acc.within_rate_limit &= other.within_rate_limit;
     acc.retries += other.retries;
     acc.breaker_rejections += other.breaker_rejections;
     acc.accesses_skipped += other.accesses_skipped;

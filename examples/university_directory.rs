@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --example university_directory`
 
+use rbqa::access::plan::execute;
 use rbqa::access::{AdversarialSelection, TruncatingSelection};
 use rbqa::core::{decide_monotone_answerability, Answerability, AnswerabilityOptions};
-use rbqa::engine::{university_instance, validate_plan, ServiceSimulator};
+use rbqa::engine::{university_instance, validate_plan};
 use rbqa::logic::evaluate;
 use rbqa::workloads::scenarios;
 
@@ -40,17 +41,16 @@ fn main() {
     // Generate data, expose it only through the services, run the plan.
     let data = university_instance(scenario.schema.signature(), &mut scenario.values, 30, 42);
     let expected = evaluate(&q1, &data).expect("example query is safe");
-    let services = ServiceSimulator::new(scenario.schema.clone(), data.clone());
     let mut selection = TruncatingSelection::new();
-    let (answers, metrics) = services.run_plan(&plan, &mut selection).unwrap();
+    let run = execute(&plan, &scenario.schema, &data, &mut selection).unwrap();
     println!(
         "Plan output: {} names ({} expected), {} service calls, {} tuples fetched",
-        answers.len(),
+        run.output.len(),
         expected.len(),
-        metrics.total_calls,
-        metrics.tuples_fetched
+        run.accesses_performed,
+        run.tuples_fetched
     );
-    assert_eq!(answers, expected, "the plan returns the complete answer");
+    assert_eq!(run.output, expected, "the plan returns the complete answer");
 
     // The validation harness tries several access selections.
     let report = validate_plan(&scenario.schema, &plan, &q1, &[data], 3);
@@ -109,7 +109,6 @@ fn main() {
     // bounded access — which is why Q1 fails under the bound.
     let mut bounded2 = scenarios::university(Some(2));
     let data = university_instance(bounded2.schema.signature(), &mut bounded2.values, 10, 7);
-    let services = ServiceSimulator::new(bounded2.schema.clone(), data);
     let plan = {
         use rbqa::access::{PlanBuilder, RaExpr};
         PlanBuilder::new()
@@ -118,8 +117,12 @@ fn main() {
     };
     let mut first = TruncatingSelection::new();
     let mut second = AdversarialSelection::new();
-    let (rows_a, _) = services.run_plan(&plan, &mut first).unwrap();
-    let (rows_b, _) = services.run_plan(&plan, &mut second).unwrap();
+    let rows_a = execute(&plan, &bounded2.schema, &data, &mut first)
+        .unwrap()
+        .output;
+    let rows_b = execute(&plan, &bounded2.schema, &data, &mut second)
+        .unwrap()
+        .output;
     println!(
         "\nBounded listing returned {} rows under one selection and {} (different) rows under \
          another: {}",

@@ -1,12 +1,12 @@
-//! Differential property test: adaptive execution (`rbqa-adapt`) is
-//! row-equivalent to naive execution.
+//! Differential property test: the one plan interpreter returns the same
+//! rows under the adaptive policy (`rbqa-adapt`) as under the naive one.
 //!
 //! For random university instances, random union shapes (one to three
 //! salary-crawl disjuncts, duplicates included so the structural
 //! short-circuit fires) and every backend family — in-memory instance,
 //! sharded federations of 1..=4 shards, the fault-injecting simulated
 //! remote (with retries), and a recorded-trace replay — the adaptive
-//! executor must return exactly the naive row set for every disjunct
+//! policy must return exactly the naive row set for every disjunct
 //! where both succeed. Failures may only ever tilt in adaptive's favour:
 //! the window cache lets adaptive fit inside a call budget the naive run
 //! exhausts (that asymmetry is the feature), while the reverse direction
@@ -20,11 +20,11 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rbqa::access::plan::{execute_with_backend, PlanError};
+use rbqa::access::plan::{execute_with_backend, execute_with_policy, PlanError};
 use rbqa::access::{
     Condition, InstanceBackend, Plan, PlanBuilder, RaExpr, RecordingBackend, RetryPolicy,
 };
-use rbqa::adapt::{execute_plan_adaptive, AdaptiveMode, AdaptiveWindow};
+use rbqa::adapt::{AdaptiveMode, AdaptiveWindow};
 use rbqa::common::ValueFactory;
 use rbqa::engine::{university_instance, BackendSpec, ExecOptions, ServiceSimulator};
 use rbqa::workloads::scenarios;
@@ -114,7 +114,7 @@ proptest! {
             }
         }
 
-        // The built-in differential: validate mode re-runs both executors
+        // The built-in differential: validate mode re-runs both policies
         // on fresh windows and must never report a structured mismatch.
         exec.adaptive = AdaptiveMode::Validate;
         let validated = simulator.run_plans_exec_results(&plan_refs, &exec).unwrap();
@@ -126,7 +126,7 @@ proptest! {
     }
 
     /// Replay parity: a trace recorded from a naive run replays through
-    /// the adaptive executor with identical rows. The replay backend is
+    /// the adaptive policy with identical rows. The replay backend is
     /// keyed by (method, binding), so adaptive's reordering and skipping
     /// must stay within the recorded access set — a cache miss on an
     /// unrecorded access would fail the replay outright.
@@ -154,7 +154,7 @@ proptest! {
         let mut adaptive_replay = trace.replayer();
         let mut window = AdaptiveWindow::new();
         let adaptive =
-            execute_plan_adaptive(&plan, &scenario.schema, &mut adaptive_replay, &mut window)
+            execute_with_policy(&plan, &scenario.schema, &mut adaptive_replay, &mut window)
                 .unwrap();
 
         prop_assert_eq!(&naive.output, &recorded.output);

@@ -3,12 +3,13 @@
 //! answerability decision → (where applicable) plan synthesis → execution on
 //! simulated services → empirical validation.
 
+use rbqa::access::plan::execute;
 use rbqa::access::TruncatingSelection;
 use rbqa::core::{
     decide_monotone_answerability, Answerability, AnswerabilityOptions, ConstraintClass,
     SimplificationKind, Strategy,
 };
-use rbqa::engine::{university_instance, validate_plan, ServiceSimulator};
+use rbqa::engine::{university_instance, validate_plan, ExecOptions, ServiceSimulator};
 use rbqa::logic::evaluate;
 use rbqa::workloads::scenarios;
 
@@ -146,8 +147,11 @@ fn example_1_2_plan_executes_completely_on_simulated_services() {
     let data = university_instance(scenario.schema.signature(), &mut scenario.values, 25, 3);
     let expected = evaluate(&q1, &data).expect("example query is safe");
     let services = ServiceSimulator::new(scenario.schema.clone(), data.clone());
-    let mut selection = TruncatingSelection::new();
-    let (answers, metrics) = services.run_plan(&plan, &mut selection).unwrap();
+    let (answers, metrics) = services
+        .run_plans_exec_results(&[&plan], &ExecOptions::default())
+        .unwrap()
+        .remove(0)
+        .unwrap();
     assert_eq!(answers, expected);
     assert!(metrics.total_calls > 0);
 
@@ -168,12 +172,11 @@ fn example_2_1_boolean_plan_for_q2_is_selection_independent() {
     let report = validate_plan(&scenario.schema, &plan, &q2, std::slice::from_ref(&data), 3);
     assert!(report.is_valid(), "{:?}", report.discrepancy);
 
-    let services = ServiceSimulator::new(scenario.schema.clone(), data);
     let mut a = TruncatingSelection::new();
     let mut b = AdversarialSelection::new();
-    let (out_a, _) = services.run_plan(&plan, &mut a).unwrap();
-    let (out_b, _) = services.run_plan(&plan, &mut b).unwrap();
-    assert_eq!(out_a, out_b);
+    let out_a = execute(&plan, &scenario.schema, &data, &mut a).unwrap();
+    let out_b = execute(&plan, &scenario.schema, &data, &mut b).unwrap();
+    assert_eq!(out_a.output, out_b.output);
 }
 
 #[test]
